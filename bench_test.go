@@ -1,8 +1,9 @@
 package lazyetl_test
 
 // Benchmarks regenerating the paper's evaluation, one benchmark family per
-// experiment in DESIGN.md §4. `go test -bench=. -benchmem` runs them all;
-// cmd/experiments prints the corresponding human-readable tables.
+// experiment E1..E9 of the index in internal/experiments (experiments.All).
+// `go test -bench=. -benchmem` runs them all; cmd/experiments prints the
+// corresponding human-readable tables.
 
 import (
 	"fmt"
@@ -150,7 +151,7 @@ func BenchmarkE4_CacheWarmup(b *testing.B) {
 }
 
 // BenchmarkE4_Granularity compares per-record extraction against whole-file
-// prefetch on a narrow query (the DESIGN.md granularity ablation).
+// prefetch on a narrow query (experiment E4's granularity ablation).
 func BenchmarkE4_Granularity(b *testing.B) {
 	dir := benchRepo(b, "d2", lazyetl.RepoConfig{Days: 2, SamplesPerDay: 20000})
 	narrow := `SELECT COUNT(*) FROM mseed.dataview

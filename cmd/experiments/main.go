@@ -1,5 +1,5 @@
-// Command experiments regenerates the paper's tables and figures (see
-// DESIGN.md §4 for the experiment index).
+// Command experiments regenerates the paper's tables and figures; the
+// experiment index (E1..E9) is experiments.All in internal/experiments.
 //
 // Usage:
 //

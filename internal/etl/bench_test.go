@@ -29,10 +29,16 @@ func benchEngine(b *testing.B, opts Options) (*Engine, *column.Batch) {
 	if _, err := e.LoadMetadata(); err != nil {
 		b.Fatal(err)
 	}
+	return e, extractionMeta(b, store)
+}
 
+// extractionMeta builds the extraction-metadata batch (F.* and R.* columns)
+// covering every record of the store's loaded metadata.
+func extractionMeta(tb testing.TB, store *catalog.Store) *column.Batch {
+	tb.Helper()
 	fb, err := store.Table(catalog.TableFiles)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	fids, _ := fb.Col("file_id")
 	furis, _ := fb.Col("uri")
@@ -45,7 +51,7 @@ func benchEngine(b *testing.B, opts Options) (*Engine, *column.Batch) {
 	}
 	rb, err := store.Table(catalog.TableRecords)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rids, _ := rb.Col("file_id")
 	seqs, _ := rb.Col("seqno")
@@ -58,20 +64,19 @@ func benchEngine(b *testing.B, opts Options) (*Engine, *column.Batch) {
 		uris[i] = uriByID[rids.Int64s()[i]]
 		recLens[i] = lenByID[rids.Int64s()[i]]
 	}
-	meta := column.MustNewBatch(
+	return column.MustNewBatch(
 		column.NewStrings("F.uri", uris),
 		column.NewInt64s("F.record_length", recLens),
 		column.NewInt64s("R.seqno", append([]int64(nil), seqs.Int64s()...)),
 		column.NewInt64s("R.file_offset", append([]int64(nil), offs.Int64s()...)),
 		column.NewInt64s("R.num_samples", append([]int64(nil), nums.Int64s()...)),
 	)
-	return e, meta
 }
 
 // BenchmarkExtractColdCache measures the run-coalesced miss path: with the
 // cache disabled every iteration re-extracts all records of all files, so
-// allocs/op exposes the O(1)-per-run allocation behaviour and ns/op the
-// syscall coalescing.
+// ns/op exposes the syscall coalescing and allocs/op the per-record entries
+// the stream parks for its consumer.
 func BenchmarkExtractColdCache(b *testing.B) {
 	e, meta := benchEngine(b, Options{DisableCache: true})
 	var samples int64

@@ -5,31 +5,35 @@
 //     transforms it, and bulk-loads the three warehouse tables.
 //   - Lazy ETL: LoadMetadata performs the metadata-only initial load
 //     (header scans, no payloads); actual data is extracted at query time
-//     by Extract, which implements plan.ExtractSource — the run-time
-//     rewriting operator asks it to produce the universal-table rows for
-//     exactly the records that survived the metadata predicates, consulting
-//     the recycler cache first (lazy loading) and applying record- and
-//     value-level transformations at the end of extraction (§3.2).
+//     through the engine's plan.ExtractSource methods — the run-time
+//     rewriting operator asks for the universal-table rows of exactly the
+//     records that survived the metadata predicates, and the engine
+//     consults the recycler cache first (lazy loading) and applies record-
+//     and value-level transformations at the end of extraction (§3.2).
 //
 // # Extraction data path
 //
-// Cache misses are not read record by record. Per file, the missed records
-// are sorted by offset and coalesced into runs — groups of records whose
-// byte ranges are adjacent (or separated by gaps small enough that reading
-// through them beats paying another syscall). Each run costs one ReadAt
-// into a pooled per-worker scratch buffer; headers and payloads then parse
-// from memory and Steim payloads decode through the unrolled, allocation-
-// free decoder into a pooled sample buffer. Whole-file prefetch
+// There is one extractor: ExtractStream delivers the universal table as a
+// morsel stream, and Extract drains that stream into a single batch. Pass 1
+// closes out records the zone maps prove irrelevant and serves recycler
+// hits. Cache misses are not read record by record: per file, the missed
+// records are sorted by offset and coalesced into runs — groups of records
+// whose byte ranges are adjacent (or separated by gaps small enough that
+// reading through them beats paying another syscall). Each run costs one
+// ReadAt into a pooled per-worker scratch buffer; headers and payloads then
+// parse from memory and Steim payloads decode through the unrolled,
+// allocation-free decoder into a pooled sample buffer. Whole-file prefetch
 // (PrefetchWholeFile) is a single run covering the file, scanned with
 // mseed.ScanBuffer.
 //
-// With Options.Parallelism > 1 the worker pool operates on runs, not files,
-// so extraction parallelizes within a single large file as well as across
-// files. Every run owns a disjoint set of metadata-row indices and writes
-// only those rows' output segments, so the assembled universal-table batch
-// is bit-identical at every Parallelism setting; when several runs fail,
-// the error surfaced is deterministically that of the earliest run (file
-// order, then offset order) rather than the race winner.
+// Options.Parallelism prefetch workers read and decode runs in plan order
+// ahead of the consumer, which assembles metadata rows into morsels in row
+// order. Workers operate on runs, not files, so extraction parallelizes
+// within a single large file as well as across files. Every run owns a
+// disjoint set of metadata-row indices, so the output is bit-identical at
+// every Parallelism, morsel size and memory budget; when several runs fail,
+// the error surfaced is deterministically that of the earliest run in plan
+// order (file order, then offset order) rather than the race winner.
 package etl
 
 import (
@@ -64,9 +68,10 @@ type Options struct {
 	// DisableCache turns the recycler into a pass-through (every extraction
 	// re-reads the source), an experimental baseline.
 	DisableCache bool
-	// Parallelism is the number of files extracted concurrently during a
-	// lazy query (an extension over the paper's sequential extractor).
-	// 0 or 1 means sequential.
+	// Parallelism is the number of background prefetch workers that read
+	// and decode coalesced runs during a lazy query, beside the consumer
+	// assembling their rows (an extension over the paper's sequential
+	// extractor). 0 and 1 both run one worker.
 	Parallelism int
 }
 
@@ -340,14 +345,6 @@ func (e *Engine) RefreshAll() (Stats, error) {
 func (e *Engine) transform(h *mseed.Header, samples []int32) (times []int64, values []float64) {
 	times = make([]int64, len(samples))
 	values = make([]float64, len(samples))
-	e.transformInto(h, samples, times, values)
-	return times, values
-}
-
-// transformInto is transform writing into caller-provided slices (the run
-// extractor transforms straight into the universal-table vectors). times and
-// values must have len(samples) elements.
-func (e *Engine) transformInto(h *mseed.Header, samples []int32, times []int64, values []float64) {
 	startNs := h.StartNanos()
 	rate := h.SampleRate()
 	for i, s := range samples {
@@ -362,6 +359,7 @@ func (e *Engine) transformInto(h *mseed.Header, samples []int32, times []int64, 
 		}
 		values[i] = v
 	}
+	return times, values
 }
 
 // filesBuilder accumulates mseed.files rows columnarly.

@@ -10,7 +10,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/repo"
 	"repro/internal/seisgen"
-	"repro/internal/sql"
 )
 
 func newEngine(t *testing.T, samples int, opts Options) (*Engine, *catalog.Store, string) {
@@ -101,15 +100,7 @@ func runLazyQuery(t *testing.T, e *Engine, store *catalog.Store, q string) *colu
 }
 
 func runLazyQueryErr(e *Engine, store *catalog.Store, q string) (*column.Batch, error) {
-	stmt, err := sql.Parse(q)
-	if err != nil {
-		return nil, err
-	}
-	plans, err := plan.Build(stmt, store.Catalog(), plan.Lazy)
-	if err != nil {
-		return nil, err
-	}
-	return plan.Execute(plans.Root, &plan.Env{Store: store, Source: e})
+	return runQueryWith(e, store, q, plan.Env{})
 }
 
 func TestExtractTransformsValues(t *testing.T) {

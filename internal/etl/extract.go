@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/catalog"
@@ -34,9 +32,9 @@ type ExtractStats struct {
 	RunsSkipped    int64
 	RecordsSkipped int64
 
-	// Streaming extraction (ExtractStream) counters: runs read+decoded by
-	// background prefetch workers ahead of the consumer, and time the
-	// consumer spent stalled waiting on an in-flight prefetch.
+	// Prefetch counters: runs read+decoded by background prefetch workers
+	// ahead of the consumer, and time the consumer spent stalled waiting on
+	// an in-flight prefetch.
 	PrefetchedRuns     int64
 	PrefetchStallNanos int64
 }
@@ -58,7 +56,7 @@ const (
 )
 
 // fileState is everything extraction needs to know about one source file.
-// The stat happens once per Extract call (staleness check); the file is
+// The stat happens once per extraction (staleness check); the file is
 // opened only if it has cache misses.
 type fileState struct {
 	uri   string
@@ -79,7 +77,7 @@ type runPlan struct {
 	prefetch bool  // whole-file prefetch run (PrefetchWholeFile)
 }
 
-// extractSink owns the output of one Extract call. Workers deliver decoded
+// extractSink owns the output of one extraction. Workers deliver decoded
 // records through it; rows are disjoint across runs so no locking is needed
 // beyond the cache's own.
 type extractSink struct {
@@ -88,21 +86,12 @@ type extractSink struct {
 	offs []int64
 
 	// lens[i] is the expected sample count of row i (actual count for cache
-	// hits, R.num_samples for misses); -1 when unknown.
+	// hits, R.num_samples for misses, 0 when pruned); -1 when unknown. The
+	// stream sizes its prefetch ledger charges from it.
 	lens []int
-	// direct: lens are all known, so the output vectors are pre-sized and
-	// workers transform misses straight into their segments at starts[i].
-	direct  bool
-	starts  []int
-	dTimes  []int64
-	dValues []float64
-
-	// entries holds rows that did not go through the direct path: cache
-	// hits, prefetch-served records, and records whose decoded length
-	// disagreed with the metadata (stale files). misfit flags the latter;
-	// the assembly then recomputes the layout from actual lengths.
+	// entries[i] is row i's samples once available: a cache hit, a decoded
+	// miss, or prunedEntry.
 	entries []*recycler.Entry
-	misfit  atomic.Bool
 
 	// quiet is set when the observer is the no-op observer, letting the
 	// hot path skip formatting per-record messages nobody will read.
@@ -116,8 +105,7 @@ type extractSink struct {
 }
 
 // prunedEntry marks rows dropped by zone-map pruning: a shared empty entry,
-// so downstream assembly (batch and stream alike) sees a delivered row that
-// contributes zero samples.
+// so morsel assembly sees a delivered row that contributes zero samples.
 var prunedEntry = &recycler.Entry{}
 
 // zonesPut collects a record's zone entry from its transformed values and
@@ -131,137 +119,39 @@ func (e *Engine) zonesPut(fs *fileState, seqno int, values []float64) {
 // owned exclusively by the calling run.
 func (s *extractSink) deliver(fs *fileState, i int, h *mseed.Header, samples []int32) {
 	e := s.e
-	key := recycler.Key{URI: fs.uri, SeqNo: int(s.seqs[i])}
-	if s.direct && len(samples) == s.lens[i] {
-		o := s.starts[i]
-		times := s.dTimes[o : o+len(samples)]
-		values := s.dValues[o : o+len(samples)]
-		e.transformInto(h, samples, times, values)
-		e.zonesPut(fs, int(s.seqs[i]), values)
-		if e.cache.Enabled() {
-			ent := &recycler.Entry{
-				Times:     append([]int64(nil), times...),
-				Values:    append([]float64(nil), values...),
-				FileMtime: fs.mtime,
-			}
-			e.cache.Admit(key, ent)
-		}
-		return
-	}
 	times, values := e.transform(h, samples)
 	e.zonesPut(fs, int(s.seqs[i]), values)
 	ent := &recycler.Entry{Times: times, Values: values, FileMtime: fs.mtime}
 	s.entries[i] = ent
-	if s.direct {
-		s.misfit.Store(true)
-	}
-	e.cache.Admit(key, ent)
+	e.cache.Admit(recycler.Key{URI: fs.uri, SeqNo: int(s.seqs[i])}, ent)
 }
 
-// Extract implements plan.ExtractSource. meta holds the metadata rows that
-// survived the metadata predicates (one per qualifying mSEED record, with
-// F.* and R.* columns); the result is the universal-table batch: the meta
-// columns replicated per sample plus D.sample_time and D.sample_value.
-//
-// This is the run-time half of lazy extraction (§3.1): for each qualifying
-// record the injected operator is either a cache read or a file extraction,
-// and each injection is reported to the observer. Misses are read in
-// coalesced runs (see the package documentation) so a cold-cache query
-// costs O(1) syscalls and allocations per run, not per record.
-//
-// prune, when non-nil, is consulted against the zone maps collected by
-// earlier extractions: records whose zone entry proves no sample can pass
-// are skipped before any ReadAt or decode (they still yield a metadata row
-// with zero samples, which the enclosing data filter would have deleted
-// anyway). Records without a fresh zone entry always extract.
-func (e *Engine) Extract(meta *column.Batch, prune *plan.PruneRange, obs plan.Observer) (*column.Batch, error) {
-	ext := plan.TraceSpan(obs).StartChild("extract")
-	pr, err := e.prepare(meta, prune, obs, true)
-	if err != nil {
-		return nil, err
-	}
-	sink := pr.sink
-	sink.readSpan = ext.Child("read")
-	sink.decodeSpan = ext.Child("decode")
-
-	// Pre-size the output layout when every row's length is known, so
-	// workers can transform misses straight into their segments.
-	if sink.direct {
-		n := meta.NumRows()
-		sink.starts = make([]int, n)
-		total := 0
-		for i, l := range sink.lens {
-			sink.starts[i] = total
-			total += l
-		}
-		sink.dTimes = make([]int64, total)
-		sink.dValues = make([]float64, total)
-	}
-
-	// Pass 2: extract the misses via coalesced runs on the worker pool.
-	if len(pr.missIdx) > 0 {
-		runs, opened, err := e.planRuns(pr.missIdx, pr.uris, pr.offs, pr.recLens, pr.stateOf, sink.quiet, obs)
-		if err != nil {
-			closeFiles(opened)
-			return nil, err
-		}
-		err = e.extractRuns(runs, sink, obs)
-		closeFiles(opened)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	out, total, err := e.assemble(meta, sink)
-	if err != nil {
-		return nil, err
-	}
-	e.xstats.samplesServed.Add(int64(total))
-	ext.AddRows(int64(total))
-	ext.End()
-	return out, nil
-}
-
-// extractPrep is the shared front half of an extraction: validated metadata
-// vectors, the per-file stat cache, and the sink with pass 1 (cache
-// lookups) already applied.
-type extractPrep struct {
-	uris    []string
-	seqs    []int64
-	offs    []int64
-	recLens []int64
-	stateOf func(string) (*fileState, error)
-	sink    *extractSink
-	missIdx []int
-}
-
-// prepare validates the metadata batch, stats the source files, and runs
-// pass 1: rows pruned by the zone maps are closed out immediately (zero
-// samples, no I/O), rows with a fresh cache entry are served (reported as
-// CacheRead injections), and the rest become missIdx. allowDirect enables
-// the pre-sized direct output layout when every miss length is known — the
-// batch path uses it, the streaming path always routes records through
-// entries.
-func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, obs plan.Observer, allowDirect bool) (*extractPrep, error) {
+// prepare is the front half of an extraction. It validates the metadata
+// batch, stats the source files, and runs pass 1: rows pruned by the zone
+// maps are closed out immediately (zero samples, no I/O), rows with a fresh
+// cache entry are served (reported as CacheRead injections). It returns the
+// sink with those rows delivered and the coalesced runs that cover the
+// remaining misses, in plan order; no file is open yet.
+func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, obs plan.Observer) (*extractSink, []runPlan, error) {
 	uriCol, ok := meta.Col("F.uri")
 	if !ok {
-		return nil, fmt.Errorf("etl: extraction metadata lacks F.uri (have %v)", meta.Names())
+		return nil, nil, fmt.Errorf("etl: extraction metadata lacks F.uri (have %v)", meta.Names())
 	}
 	seqCol, ok := meta.Col("R.seqno")
 	if !ok {
-		return nil, fmt.Errorf("etl: extraction metadata lacks R.seqno")
+		return nil, nil, fmt.Errorf("etl: extraction metadata lacks R.seqno")
 	}
 	offCol, ok := meta.Col("R.file_offset")
 	if !ok {
-		return nil, fmt.Errorf("etl: extraction metadata lacks R.file_offset")
+		return nil, nil, fmt.Errorf("etl: extraction metadata lacks R.file_offset")
 	}
 	uris := uriCol.Strings()
 	seqs := seqCol.Int64s()
 	offs := offCol.Int64s()
 	n := meta.NumRows()
 
-	// Optional metadata that lets extraction pre-size runs and output:
-	// absent columns only cost performance, never correctness.
+	// Optional metadata that lets extraction size runs and prefetch
+	// charges: absent columns only cost performance, never correctness.
 	var nums []int64
 	if c, ok := meta.Col("R.num_samples"); ok {
 		nums = c.Int64s()
@@ -310,15 +200,13 @@ func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, obs plan.Ob
 	zones := e.store.Zones()
 	var missIdx, prunedIdx []int
 	var cacheHits int64
-	sink.direct = allowDirect
 	for i := 0; i < n; i++ {
 		fs, err := stateOf(uris[i])
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if prune != nil {
 			if z, ok := zones.Get(uris[i], fs.mtime, int(seqs[i])); ok && !prune.Admits(z) {
-				sink.lens[i] = 0
 				sink.entries[i] = prunedEntry
 				prunedIdx = append(prunedIdx, i)
 				continue
@@ -335,29 +223,27 @@ func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, obs plan.Ob
 			cacheHits++
 			continue
 		}
+		sink.lens[i] = -1
 		if nums != nil && nums[i] >= 0 {
 			sink.lens[i] = int(nums[i])
-		} else {
-			sink.lens[i] = -1
-			sink.direct = false
 		}
 		missIdx = append(missIdx, i)
 	}
 
+	wholeFile := e.opts.PrefetchWholeFile
+	runs := planRuns(missIdx, uris, offs, recLens, states, wholeFile)
 	if prune != nil {
-		// Count the reads pruning saved by replaying the run-coalescing
-		// arithmetic over the would-be miss set (pruned rows would all have
-		// been misses: a pruned record was extracted under an older query,
-		// whose cache entry may since have been evicted). No files are
-		// opened here — only the already-stat'ed sizes are consulted.
-		runsPlanned := e.countRuns(missIdx, uris, offs, recLens, stateOf)
+		// Count the reads pruning saved by planning the would-be miss set
+		// too (pruned rows would all have been misses: a pruned record was
+		// extracted under an older query, whose cache entry may since have
+		// been evicted).
 		runsSkipped := 0
 		if len(prunedIdx) > 0 {
 			all := make([]int, 0, len(missIdx)+len(prunedIdx))
 			all = append(all, missIdx...)
 			all = append(all, prunedIdx...)
 			sort.Ints(all)
-			runsSkipped = e.countRuns(all, uris, offs, recLens, stateOf) - runsPlanned
+			runsSkipped = len(planRuns(all, uris, offs, recLens, states, wholeFile)) - len(runs)
 			e.xstats.runsSkipped.Add(int64(runsSkipped))
 			e.xstats.recordsSkipped.Add(int64(len(prunedIdx)))
 			if !quiet {
@@ -367,7 +253,7 @@ func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, obs plan.Ob
 		}
 		plan.ReportScan(obs, plan.ScanReport{
 			Target:         "extract",
-			Runs:           int64(runsPlanned),
+			Runs:           int64(len(runs)),
 			RunsSkipped:    int64(runsSkipped),
 			Records:        int64(len(missIdx)),
 			RecordsSkipped: int64(len(prunedIdx)),
@@ -395,25 +281,18 @@ func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, obs plan.Ob
 		plan.ReportStamps(obs, stamps)
 	}
 
-	return &extractPrep{
-		uris:    uris,
-		seqs:    seqs,
-		offs:    offs,
-		recLens: recLens,
-		stateOf: stateOf,
-		sink:    sink,
-		missIdx: missIdx,
-	}, nil
+	return sink, runs, nil
 }
 
-// countRuns replays planRuns' coalescing arithmetic over idx (ascending meta
-// row indices) without opening any file, returning how many coalesced reads
-// the set would cost. Used to attribute saved reads to zone-map pruning.
-func (e *Engine) countRuns(idx []int, uris []string, offs, recLens []int64,
-	stateOf func(string) (*fileState, error)) int {
-	if len(idx) == 0 {
-		return 0
-	}
+// planRuns is the run planner. It groups idx (meta row indices) by file in
+// first-appearance order — the deterministic error-reporting order — sorts
+// each file's rows by offset and coalesces them into reads: a record joins
+// the open run while the hole before it is at most coalesceGap and the run
+// stays within maxRunBytes, with each record's estimated end clamped to the
+// file size. Whole-file prefetch plans one run per file. states must hold
+// every file idx refers to. No file is opened, so the planner also prices
+// row sets that are never read (the runs zone-map pruning saves).
+func planRuns(idx []int, uris []string, offs, recLens []int64, states map[string]*fileState, wholeFile bool) []runPlan {
 	byFile := make(map[string][]int)
 	var fileOrder []string
 	for _, i := range idx {
@@ -422,46 +301,59 @@ func (e *Engine) countRuns(idx []int, uris []string, offs, recLens []int64,
 		}
 		byFile[uris[i]] = append(byFile[uris[i]], i)
 	}
-	if e.opts.PrefetchWholeFile {
-		return len(fileOrder) // one whole-file run per file
-	}
-	estLen := func(i int) int64 {
-		if recLens != nil && recLens[i] > 0 {
-			return recLens[i]
-		}
-		return fallbackRecordLen
-	}
-	runs := 0
+
+	var runs []runPlan
 	for _, uri := range fileOrder {
-		fs, err := stateOf(uri) // already stat'ed in pass 1
-		if err != nil {
+		fs := states[uri]
+		rows := byFile[uri]
+		sort.Slice(rows, func(a, b int) bool { return offs[rows[a]] < offs[rows[b]] })
+		if wholeFile {
+			runs = append(runs, runPlan{fs: fs, rows: rows, start: 0, end: fs.size, prefetch: true})
 			continue
 		}
-		rows := append([]int(nil), byFile[uri]...)
-		sort.Slice(rows, func(a, b int) bool { return offs[rows[a]] < offs[rows[b]] })
-		var curStart, curEnd int64
-		open := false
+		cur := -1
 		for _, i := range rows {
 			start := offs[i]
-			end := start + estLen(i)
-			if end > fs.size {
-				end = fs.size
+			recLen := int64(fallbackRecordLen)
+			if recLens != nil && recLens[i] > 0 {
+				recLen = recLens[i]
 			}
-			if end < start {
-				end = start
-			}
-			if open && start <= curEnd+coalesceGap && end-curStart <= maxRunBytes {
-				if end > curEnd {
-					curEnd = end
-				}
+			// An offset beyond EOF yields an empty range; the read will
+			// surface the staleness.
+			end := max(min(start+recLen, fs.size), start)
+			if cur >= 0 && start <= runs[cur].end+coalesceGap && end-runs[cur].start <= maxRunBytes {
+				runs[cur].rows = append(runs[cur].rows, i)
+				runs[cur].end = max(runs[cur].end, end)
 				continue
 			}
-			runs++
-			open = true
-			curStart, curEnd = start, end
+			runs = append(runs, runPlan{fs: fs, rows: []int{i}, start: start, end: end})
+			cur = len(runs) - 1
 		}
 	}
 	return runs
+}
+
+// openRuns opens each planned file once, in plan order. The opened files
+// are returned for closeFiles even on error.
+func (e *Engine) openRuns(runs []runPlan, quiet bool, obs plan.Observer) ([]*fileState, error) {
+	var opened []*fileState
+	for _, run := range runs {
+		fs := run.fs
+		if fs.f != nil {
+			continue
+		}
+		f, err := os.Open(fs.path)
+		if err != nil {
+			return opened, fmt.Errorf("etl: open %s: %w", fs.uri, err)
+		}
+		fs.f = f
+		opened = append(opened, fs)
+		e.addTouched(1)
+		if !quiet {
+			obs.Event("open", fs.uri)
+		}
+	}
+	return opened, nil
 }
 
 func closeFiles(opened []*fileState) {
@@ -471,131 +363,6 @@ func closeFiles(opened []*fileState) {
 			fs.f = nil
 		}
 	}
-}
-
-// planRuns groups the missed rows by file (in first-appearance order, which
-// is the deterministic error-reporting order), opens each file once, sorts
-// each file's rows by offset and coalesces adjacent records into runs.
-func (e *Engine) planRuns(missIdx []int, uris []string, offs []int64, recLens []int64,
-	stateOf func(string) (*fileState, error), quiet bool, obs plan.Observer) ([]runPlan, []*fileState, error) {
-
-	byFile := make(map[string][]int)
-	var fileOrder []string
-	for _, i := range missIdx {
-		if _, seen := byFile[uris[i]]; !seen {
-			fileOrder = append(fileOrder, uris[i])
-		}
-		byFile[uris[i]] = append(byFile[uris[i]], i)
-	}
-
-	estLen := func(i int) int64 {
-		if recLens != nil && recLens[i] > 0 {
-			return recLens[i]
-		}
-		return fallbackRecordLen
-	}
-
-	var runs []runPlan
-	var opened []*fileState
-	for _, uri := range fileOrder {
-		fs, err := stateOf(uri) // already populated in pass 1
-		if err != nil {
-			return nil, opened, err
-		}
-		f, err := os.Open(fs.path)
-		if err != nil {
-			return nil, opened, fmt.Errorf("etl: open %s: %w", uri, err)
-		}
-		fs.f = f
-		opened = append(opened, fs)
-		e.addTouched(1)
-		if !quiet {
-			obs.Event("open", uri)
-		}
-
-		rows := byFile[uri]
-		sort.Slice(rows, func(a, b int) bool { return offs[rows[a]] < offs[rows[b]] })
-
-		if e.opts.PrefetchWholeFile {
-			runs = append(runs, runPlan{fs: fs, rows: rows, start: 0, end: fs.size, prefetch: true})
-			continue
-		}
-		cur := -1
-		for _, i := range rows {
-			start := offs[i]
-			end := start + estLen(i)
-			if end > fs.size {
-				end = fs.size
-			}
-			if end < start {
-				end = start // offset beyond EOF: the read will surface staleness
-			}
-			if cur >= 0 && start <= runs[cur].end+coalesceGap && end-runs[cur].start <= maxRunBytes {
-				runs[cur].rows = append(runs[cur].rows, i)
-				if end > runs[cur].end {
-					runs[cur].end = end
-				}
-				continue
-			}
-			runs = append(runs, runPlan{fs: fs, rows: []int{i}, start: start, end: end})
-			cur = len(runs) - 1
-		}
-	}
-	return runs, opened, nil
-}
-
-// extractRuns drives the runs to completion, on a worker pool when
-// Parallelism > 1. Errors are collected per run; the one surfaced is that
-// of the earliest run in plan order (file order, then offset), so failures
-// report deterministically at every worker count.
-func (e *Engine) extractRuns(runs []runPlan, sink *extractSink, obs plan.Observer) error {
-	workers := e.opts.Parallelism
-	if workers > len(runs) {
-		workers = len(runs)
-	}
-	errs := make([]error, len(runs))
-	if workers <= 1 {
-		sc := e.getScratch()
-		for r := range runs {
-			if errs[r] = e.extractRun(&runs[r], sc, sink, obs); errs[r] != nil {
-				break
-			}
-		}
-		e.putScratch(sc)
-	} else {
-		// Runs are claimed in plan order off an atomic cursor, so when a
-		// claimed run fails, every run that precedes it in plan order was
-		// already claimed and will finish (and record its own error).
-		// Stopping new claims therefore cannot skip an earlier failure —
-		// the reported error stays the deterministic earliest one.
-		var failed atomic.Bool
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sc := e.getScratch()
-				defer e.putScratch(sc)
-				for !failed.Load() {
-					r := int(next.Add(1)) - 1
-					if r >= len(runs) {
-						return
-					}
-					if errs[r] = e.extractRun(&runs[r], sc, sink, obs); errs[r] != nil {
-						failed.Store(true)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // extractRun performs one coalesced read and decodes its records. The run's
@@ -739,9 +506,6 @@ func (e *Engine) prefetchRun(run *runPlan, buf []byte, sc *extractScratch, sink 
 		key := recycler.Key{URI: fs.uri, SeqNo: int(sink.seqs[i])}
 		if ent, hit := e.cache.Lookup(key, fs.mtime); hit {
 			sink.entries[i] = ent
-			if sink.direct && len(ent.Times) != sink.lens[i] {
-				sink.misfit.Store(true)
-			}
 			continue
 		}
 		// Cache budget too small to hold the prefetched file; decode this
@@ -751,103 +515,6 @@ func (e *Engine) prefetchRun(run *runPlan, buf []byte, sc *extractScratch, sink 
 		}
 	}
 	return nil
-}
-
-// assemble builds the universal-table batch: each metadata row replicated
-// once per sample, with the D.* sample columns attached. In direct mode the
-// miss segments were already written by the workers and only entry-backed
-// rows (cache hits, prefetch reads) are copied here; if any record's actual
-// length disagreed with the metadata, the layout is recomputed from actual
-// lengths first.
-func (e *Engine) assemble(meta *column.Batch, sink *extractSink) (*column.Batch, int, error) {
-	n := meta.NumRows()
-	lens := sink.lens
-	dTimes, dValues := sink.dTimes, sink.dValues
-
-	if sink.direct {
-		misfit := sink.misfit.Load()
-		if !misfit {
-			for i, ent := range sink.entries {
-				if ent == nil {
-					continue
-				}
-				if len(ent.Times) != lens[i] {
-					misfit = true
-					break
-				}
-				o := sink.starts[i]
-				copy(dTimes[o:], ent.Times)
-				copy(dValues[o:], ent.Values)
-			}
-		}
-		if misfit {
-			// Rare stale-metadata path: recompute the layout from actual
-			// lengths, pulling direct-written segments from the old vectors
-			// and everything else from its entry.
-			actual := make([]int, n)
-			total := 0
-			for i := range actual {
-				if ent := sink.entries[i]; ent != nil {
-					actual[i] = len(ent.Times)
-				} else {
-					actual[i] = lens[i]
-				}
-				total += actual[i]
-			}
-			nt := make([]int64, total)
-			nv := make([]float64, total)
-			k := 0
-			for i := range actual {
-				if ent := sink.entries[i]; ent != nil {
-					copy(nt[k:], ent.Times)
-					copy(nv[k:], ent.Values)
-				} else {
-					o := sink.starts[i]
-					copy(nt[k:], dTimes[o:o+lens[i]])
-					copy(nv[k:], dValues[o:o+lens[i]])
-				}
-				k += actual[i]
-			}
-			lens, dTimes, dValues = actual, nt, nv
-		}
-	} else {
-		// No pre-sized layout: every row has an entry (hits and misses
-		// alike); size from actual lengths and bulk-copy.
-		total := 0
-		for i, ent := range sink.entries {
-			lens[i] = len(ent.Times)
-			total += lens[i]
-		}
-		dTimes = make([]int64, total)
-		dValues = make([]float64, total)
-		k := 0
-		for _, ent := range sink.entries {
-			copy(dTimes[k:], ent.Times)
-			copy(dValues[k:], ent.Values)
-			k += len(ent.Times)
-		}
-	}
-
-	total := 0
-	for _, l := range lens {
-		total += l
-	}
-	sel := make([]int32, total)
-	k := 0
-	for i, l := range lens {
-		for j := 0; j < l; j++ {
-			sel[k] = int32(i)
-			k++
-		}
-	}
-	out := meta.Gather(sel)
-	if err := out.AddColumn(column.NewTimestamps("D.sample_time", dTimes)); err != nil {
-		return nil, 0, err
-	}
-	if err := out.AddColumn(column.NewFloat64s("D.sample_value", dValues)); err != nil {
-		return nil, 0, err
-	}
-	return out, total, nil
 }
 
 // addTouched counts one file open.

@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/column"
 	"repro/internal/mseed"
+	"repro/internal/plan"
 	"repro/internal/repo"
 )
 
@@ -93,25 +95,34 @@ func TestExtractZeroSampleRecord(t *testing.T) {
 }
 
 // TestExtractStaleSampleCountMisfit patches a record after the metadata
-// load, so the decoded length disagrees with R.num_samples and extraction
-// must fall back from the pre-sized layout to the misfit reassembly path.
+// load, so the decoded length disagrees with R.num_samples: extraction must
+// trust the decoded record over the stale metadata on both paths (the
+// pipelined stream and the materializing engine's Extract drain), whose
+// prefetch charges were sized from the stale count.
 func TestExtractStaleSampleCountMisfit(t *testing.T) {
 	for _, parallelism := range []int{1, 4} {
 		t.Run(fmt.Sprintf("parallelism=%d", parallelism), func(t *testing.T) {
-			e, store, _ := newEngine(t, 3000, Options{Parallelism: parallelism})
-			if _, err := e.LoadMetadata(); err != nil {
-				t.Fatal(err)
-			}
-			path, _ := fileFor(t, e, "HGN", "BHZ")
-			infos, err := mseed.ScanFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			victim := infos[1]
-			orig := patchRecordSampleCount(t, path, victim.Offset, 0)
-			b := runLazyQuery(t, e, store, countQuery("HGN", "BHZ"))
-			if got, want := b.Row(0)[0].I, int64(3000-orig); got != want {
-				t.Errorf("count = %d, want %d (misfit record must shrink the output)", got, want)
+			for _, noPipeline := range []bool{false, true} {
+				t.Run(fmt.Sprintf("noPipeline=%v", noPipeline), func(t *testing.T) {
+					e, store, _ := newEngine(t, 3000, Options{Parallelism: parallelism})
+					if _, err := e.LoadMetadata(); err != nil {
+						t.Fatal(err)
+					}
+					path, _ := fileFor(t, e, "HGN", "BHZ")
+					infos, err := mseed.ScanFile(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					victim := infos[1]
+					orig := patchRecordSampleCount(t, path, victim.Offset, 0)
+					b, err := runQueryEnv(e, store, countQuery("HGN", "BHZ"), parallelism, 0, noPipeline)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, want := b.Row(0)[0].I, int64(3000-orig); got != want {
+						t.Errorf("count = %d, want %d (the patched record must shrink the output)", got, want)
+					}
+				})
 			}
 		})
 	}
@@ -217,7 +228,8 @@ func TestExtractBitIdenticalAcrossParallelism(t *testing.T) {
 
 // TestExtractDeterministicErrorOrder corrupts several qualifying files and
 // requires the parallel extractor to report the same error as the serial
-// one — the earliest failing file in extraction order, not the race winner.
+// one — the earliest failing file in extraction order (the first BHZ file),
+// not the race winner.
 func TestExtractDeterministicErrorOrder(t *testing.T) {
 	_, _, dir := newEngine(t, 2000, Options{})
 	// Corrupt one mid-file record header in every BHZ file: metadata stays
@@ -266,6 +278,9 @@ func TestExtractDeterministicErrorOrder(t *testing.T) {
 	if serialErr == nil {
 		t.Fatal("serial extraction over corrupt files did not fail")
 	}
+	if first := firstFile(t, serial, "BHZ"); !strings.Contains(serialErr.Error(), first) {
+		t.Fatalf("error %q does not name the first damaged file %s", serialErr, first)
+	}
 	for try := 0; try < tries; try++ {
 		_, parErr := runLazyQueryErr(pars[try], parStores[try], q)
 		if parErr == nil {
@@ -274,5 +289,95 @@ func TestExtractDeterministicErrorOrder(t *testing.T) {
 		if parErr.Error() != serialErr.Error() {
 			t.Fatalf("try %d: parallel error %q != serial error %q", try, parErr, serialErr)
 		}
+	}
+}
+
+// TestZonePruneRunAccounting pins the run planner's single coalescing rule.
+// With nothing cached (a 1-byte recycler), the reads a zone-pruned query
+// issues plus the reads it reports pruning saved must equal the reads the
+// same query issues with skipping off.
+func TestZonePruneRunAccounting(t *testing.T) {
+	_, _, dir := newEngine(t, 3000, Options{})
+	var threshold float64
+	var runsRead, runsSkipped [2]int64
+	var counts [2]int64
+	for k, noSkipping := range []bool{false, true} {
+		e, store, _ := newEngineAt(t, dir, Options{CacheBudget: 1})
+		if _, err := e.LoadMetadata(); err != nil {
+			t.Fatal(err)
+		}
+		// A full scan collects every record's zone entry.
+		full, err := runQueryWith(e, store, `SELECT F.uri, MAX(D.sample_value) FROM mseed.dataview GROUP BY F.uri ORDER BY 2`, plan.Env{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k == 0 {
+			// The median file maximum: files below it prune whole (saving
+			// their runs), files above it keep records that pass.
+			threshold = full.ColAt(1).Float64s()[full.NumRows()/2]
+		}
+		before := e.ExtractionStats()
+		q := fmt.Sprintf(`SELECT COUNT(*) FROM mseed.dataview WHERE D.sample_value > %g`, threshold)
+		b, err := runQueryWith(e, store, q, plan.Env{NoSkipping: noSkipping})
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := e.ExtractionStats()
+		counts[k] = b.Row(0)[0].I
+		runsRead[k] = after.RunsRead - before.RunsRead
+		runsSkipped[k] = after.RunsSkipped - before.RunsSkipped
+		if !noSkipping && (after.RecordsSkipped == before.RecordsSkipped || runsSkipped[k] == 0) {
+			t.Fatalf("threshold %g pruned %d records and %d runs; test is vacuous",
+				threshold, after.RecordsSkipped-before.RecordsSkipped, runsSkipped[k])
+		}
+	}
+	if counts[0] != counts[1] || counts[0] == 0 {
+		t.Fatalf("counts with and without skipping: %v", counts)
+	}
+	if runsSkipped[1] != 0 {
+		t.Errorf("NoSkipping reported %d runs skipped", runsSkipped[1])
+	}
+	if runsRead[0]+runsSkipped[0] != runsRead[1] {
+		t.Errorf("skipping: %d runs read + %d skipped != %d runs read without skipping",
+			runsRead[0], runsSkipped[0], runsRead[1])
+	}
+}
+
+// TestExtractDrainEmpty runs Extract over a metadata batch with no rows and
+// over one whose rows the zone maps all prune: both must answer zero rows
+// that still carry the universal table's sample columns.
+func TestExtractDrainEmpty(t *testing.T) {
+	e, store, _ := newEngine(t, 500, Options{})
+	if _, err := e.LoadMetadata(); err != nil {
+		t.Fatal(err)
+	}
+	meta := extractionMeta(t, store)
+	check := func(name string, b *column.Batch, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if b.NumRows() != 0 {
+			t.Errorf("%s: %d rows, want 0", name, b.NumRows())
+		}
+		for _, c := range []string{"F.uri", "D.sample_time", "D.sample_value"} {
+			if _, ok := b.Col(c); !ok {
+				t.Errorf("%s: result lacks %s (have %v)", name, c, b.Names())
+			}
+		}
+	}
+
+	b, err := e.Extract(meta.Range(0, 0), nil, plan.NopObserver{})
+	check("zero metadata rows", b, err)
+
+	// Collect every record's zone entry, then prune them all.
+	if _, err := e.Extract(meta, nil, plan.NopObserver{}); err != nil {
+		t.Fatal(err)
+	}
+	before := e.ExtractionStats().RecordsSkipped
+	b, err = e.Extract(meta, &plan.PruneRange{AlwaysFalse: true}, plan.NopObserver{})
+	check("all rows pruned", b, err)
+	if got := e.ExtractionStats().RecordsSkipped - before; got != int64(meta.NumRows()) {
+		t.Errorf("pruned %d of %d records", got, meta.NumRows())
 	}
 }

@@ -3,6 +3,7 @@ package etl
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -19,61 +20,57 @@ import (
 // stopped consuming, so a late Next is already being discarded.
 var errStreamClosed = errors.New("etl: extraction stream closed")
 
-// ExtractStream implements plan.StreamSource: the universal table delivered
-// as a morsel stream with extract/compute overlap. Pass 1 (cache lookups)
-// and run planning are identical to Extract; the difference is pass 2.
-// Background workers read and Steim-decode run N+1 while the consumer
-// assembles run N's rows into morsels, claiming runs in plan order under a
-// bounded window: at most workers+1 runs in flight, each admitted only if
-// its estimated footprint fits the memory ledger. When the budget denies
-// admission the consumer extracts the run it needs inline — overlap
-// degrades to the synchronous schedule instead of overshooting the budget.
+// ExtractStream implements plan.ExtractSource: the universal table
+// delivered as a morsel stream with extract/compute overlap. It is the
+// engine's only extractor. Pass 1 (pruning and cache lookups) and run
+// planning happen up front in prepare; then background workers read and
+// Steim-decode run N+1 while the consumer assembles run N's rows into
+// morsels, claiming runs in plan order under a bounded window: at most
+// workers+1 runs in flight, each admitted only if its estimated footprint
+// fits the memory ledger. When the budget denies admission the consumer
+// extracts the run it needs inline — overlap degrades to the synchronous
+// schedule instead of overshooting the budget.
 //
-// Bit-identity with Extract holds row by row: every record is decoded by
-// the same extractRun, and morsels are assembled in metadata-row order with
-// the same replicated-gather layout, so the concatenation of the morsel
-// stream equals the materialized batch exactly. Failures settle to the
-// deterministic materializing error: in-flight runs drain, remaining runs
-// execute in plan order, and the earliest failing run in plan order is the
-// one reported — the same error at every parallelism and budget.
+// Output is deterministic row by row: morsels are assembled in metadata-row
+// order with the replicated-gather layout whatever the worker count, morsel
+// size or budget. Failures settle deterministically too: in-flight runs
+// drain, remaining runs execute in plan order, and the earliest failing run
+// in plan order is the one reported — the same error at every parallelism
+// and budget.
 func (e *Engine) ExtractStream(meta *column.Batch, prune *plan.PruneRange, obs plan.Observer, morselRows int, led *mem.Ledger) (exec.BatchSource, error) {
 	// A pure container span: its children (read/decode/assemble/stall) are
 	// Add-accumulated across workers; the container itself has no single
 	// wall interval, so SpanNode.Duration sums the children.
 	ext := plan.TraceSpan(obs).Child("extract-stream")
-	pr, err := e.prepare(meta, prune, obs, false)
+	sink, runs, err := e.prepare(meta, prune, obs)
 	if err != nil {
 		return nil, err
 	}
-	pr.sink.readSpan = ext.Child("read")
-	pr.sink.decodeSpan = ext.Child("decode")
+	sink.readSpan = ext.Child("read")
+	sink.decodeSpan = ext.Child("decode")
 	if morselRows <= 0 {
 		morselRows = exec.DefaultMorselRows
+	}
+	opened, err := e.openRuns(runs, sink.quiet, obs)
+	if err != nil {
+		closeFiles(opened)
+		return nil, err
 	}
 	s := &extractStream{
 		e:          e,
 		meta:       meta,
 		obs:        obs,
-		sink:       pr.sink,
+		sink:       sink,
 		morselRows: morselRows,
 		n:          meta.NumRows(),
+		runs:       runs,
+		opened:     opened,
 		grant:      led.NewGrant(),
 		extSpan:    ext,
 		stallSpan:  ext.Child("prefetch-stall"),
 		gatherSpan: ext.Child("assemble"),
 	}
 	s.cond = sync.NewCond(&s.mu)
-
-	if len(pr.missIdx) > 0 {
-		runs, opened, err := e.planRuns(pr.missIdx, pr.uris, pr.offs, pr.recLens, pr.stateOf, pr.sink.quiet, obs)
-		if err != nil {
-			closeFiles(opened)
-			s.grant.Close()
-			return nil, err
-		}
-		s.runs = runs
-		s.opened = opened
-	}
 
 	s.rowRun = make([]int, s.n)
 	for i := range s.rowRun {
@@ -121,6 +118,51 @@ func (e *Engine) ExtractStream(meta *column.Batch, prune *plan.PruneRange, obs p
 		go s.prefetchWorker()
 	}
 	return s, nil
+}
+
+// Extract implements plan.ExtractSource by draining ExtractStream into one
+// batch. meta holds the metadata rows that survived the metadata predicates
+// (one per qualifying mSEED record, with F.* and R.* columns); the result is
+// the universal-table batch: the meta columns replicated per sample plus
+// D.sample_time and D.sample_value.
+//
+// This is the run-time half of lazy extraction (§3.1): for each qualifying
+// record the injected operator is either a cache read or a file extraction,
+// and each injection is reported to the observer. prune, when non-nil, is
+// consulted against the zone maps collected by earlier extractions: records
+// whose zone entry proves no sample can pass are skipped before any ReadAt
+// or decode (they still yield a metadata row with zero samples, which the
+// enclosing data filter would have deleted anyway).
+func (e *Engine) Extract(meta *column.Batch, prune *plan.PruneRange, obs plan.Observer) (*column.Batch, error) {
+	// An unbounded morsel size makes the stream's first morsel the whole
+	// table, so the drain needs no concatenation copy.
+	src, err := e.ExtractStream(meta, prune, obs, math.MaxInt, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer src.Close()
+	m, ok, err := src.Next()
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		// No metadata rows, so no morsel: answer with the zero-row schema.
+		return universalBatch(meta, []int32{}, nil, nil)
+	}
+	return m.B, nil
+}
+
+// universalBatch is the universal-table layout: meta's rows replicated
+// through sel (one entry per sample) with the sample columns attached.
+func universalBatch(meta *column.Batch, sel []int32, times []int64, values []float64) (*column.Batch, error) {
+	b := meta.Gather(sel)
+	if err := b.AddColumn(column.NewTimestamps("D.sample_time", times)); err != nil {
+		return nil, err
+	}
+	if err := b.AddColumn(column.NewFloat64s("D.sample_value", values)); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // extractStream is one in-flight streaming extraction. The consumer
@@ -273,8 +315,8 @@ func (s *extractStream) Next() (exec.Morsel, bool, error) {
 		}
 	}
 
-	// Same layout as assemble: one output row per sample, meta columns
-	// gathered through the replicated selection vector.
+	// One output row per sample, meta columns gathered through the
+	// replicated selection vector.
 	var gatherStart time.Time
 	if s.gatherSpan != nil {
 		gatherStart = time.Now()
@@ -292,11 +334,8 @@ func (s *extractStream) Next() (exec.Morsel, bool, error) {
 			k++
 		}
 	}
-	b := s.meta.Gather(sel)
-	if err := b.AddColumn(column.NewTimestamps("D.sample_time", dTimes)); err != nil {
-		return exec.Morsel{}, false, err
-	}
-	if err := b.AddColumn(column.NewFloat64s("D.sample_value", dValues)); err != nil {
+	b, err := universalBatch(s.meta, sel, dTimes, dValues)
+	if err != nil {
 		return exec.Morsel{}, false, err
 	}
 	if s.gatherSpan != nil {
@@ -362,11 +401,11 @@ func (s *extractStream) waitRow(i int) error {
 	}
 }
 
-// settleLocked normalizes any failure to the deterministic materializing
-// error: stop new prefetch claims, drain in-flight runs, execute every
-// not-yet-run run inline in plan order, and report the error of the
-// earliest failing run — exactly what extractRuns surfaces. Caller holds
-// mu; the settled error is sticky.
+// settleLocked normalizes any failure to the deterministic error: stop new
+// prefetch claims, drain in-flight runs, execute every not-yet-run run
+// inline in plan order, and report the error of the earliest failing run —
+// the error a sequential extraction would hit first. Caller holds mu; the
+// settled error is sticky.
 func (s *extractStream) settleLocked() error {
 	if s.failed != nil {
 		return s.failed

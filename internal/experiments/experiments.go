@@ -1,7 +1,8 @@
 // Package experiments regenerates the paper's experimental narrative: one
 // runnable experiment per table/figure/claim, each printing a table in the
-// style of the original evaluation. See DESIGN.md §4 for the experiment
-// index (E1..E9) and EXPERIMENTS.md for recorded results.
+// style of the original evaluation. All is the experiment index (E1..E9);
+// run them with cmd/experiments, or as benchmarks with the root package's
+// BenchmarkE* families.
 package experiments
 
 import (

@@ -7,18 +7,25 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/column"
 	"repro/internal/exec"
+	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/sql"
 )
 
 // ExtractSource is implemented by the lazy ETL engine: given the metadata
 // rows that survived the metadata predicates (columns F.* and R.*), produce
-// the universal-table batch with the D.* columns attached. The source
-// reports each injected operator (cache read or file extraction) to the
-// observer — that is the run-time plan modification of §3.1 made visible.
-// Implementations may exploit additional metadata columns when present
-// (R.num_samples to pre-size output, F.record_length to coalesce adjacent
-// misses into run-granular reads) but must not require them.
+// the universal table — those rows replicated once per sample, with the D.*
+// columns attached. ExtractStream delivers it as a morsel stream, the leaf
+// of a push pipeline: read+decode of later records overlaps compute over
+// earlier ones, with prefetch buffers charged to led (nil = unlimited) so
+// overlap degrades to synchronous extraction under budget pressure rather
+// than blowing it. Extract returns the same rows as one batch, the leaf of
+// the materializing engine. The source reports each injected operator
+// (cache read or file extraction) to the observer — that is the run-time
+// plan modification of §3.1 made visible. Implementations may exploit
+// additional metadata columns when present (R.num_samples to size prefetch,
+// F.record_length to coalesce adjacent misses into run-granular reads) but
+// must not require them.
 //
 // prune, when non-nil, is the zone-map admissibility test for the records'
 // sample values: the source may drop records whose collected zone entry
@@ -26,6 +33,7 @@ import (
 // would delete every one of their rows anyway. nil means extract everything.
 type ExtractSource interface {
 	Extract(meta *column.Batch, prune *PruneRange, obs Observer) (*column.Batch, error)
+	ExtractStream(meta *column.Batch, prune *PruneRange, obs Observer, morselRows int, led *mem.Ledger) (exec.BatchSource, error)
 }
 
 // Observer receives the run-time injected operators and operational events.
@@ -103,6 +111,31 @@ func Execute(n Node, env *Env) (*column.Batch, error) {
 		}
 	}
 	return executeNode(n, env)
+}
+
+// lazyMeta is the prologue of a LazyExtract on either engine. Step 1
+// (§3.1): execute the metadata part of the plan, its operator spans grouped
+// under a "metadata" child so the trace separates the metadata phase from
+// the extraction it triggers. It returns the qualifying records and the
+// zone-map prune test the extraction applies (nil under NoSkipping).
+func lazyMeta(x *LazyExtract, env *Env) (*column.Batch, *PruneRange, error) {
+	msp := env.Trace.StartChild("metadata")
+	menv := *env
+	menv.Trace = msp
+	meta, err := Execute(x.Meta, &menv)
+	if err != nil {
+		return nil, nil, err
+	}
+	msp.AddRows(int64(meta.NumRows()))
+	msp.End()
+	env.obs().Event("rewrite", fmt.Sprintf("metadata plan yields %d qualifying records; invoking run-time plan rewriting operator", meta.NumRows()))
+	if env.Source == nil {
+		return nil, nil, fmt.Errorf("plan: LazyExtract requires an ExtractSource in the environment")
+	}
+	if env.NoSkipping {
+		return meta, nil, nil
+	}
+	return meta, x.Prune, nil
 }
 
 // scanBase loads a Scan's table and applies its column prefix, without
@@ -218,29 +251,13 @@ func executeNode(n Node, env *Env) (*column.Batch, error) {
 		return out, nil
 
 	case *LazyExtract:
-		// Step 1 (§3.1): execute the metadata part of the plan. Its operator
-		// spans group under a "metadata" child so the trace separates the
-		// metadata phase from the extraction it triggers.
-		msp := env.Trace.StartChild("metadata")
-		menv := *env
-		menv.Trace = msp
-		meta, err := Execute(x.Meta, &menv)
+		meta, prune, err := lazyMeta(x, env)
 		if err != nil {
 			return nil, err
-		}
-		msp.AddRows(int64(meta.NumRows()))
-		msp.End()
-		obs.Event("rewrite", fmt.Sprintf("metadata plan yields %d qualifying records; invoking run-time plan rewriting operator", meta.NumRows()))
-		if env.Source == nil {
-			return nil, fmt.Errorf("plan: LazyExtract requires an ExtractSource in the environment")
 		}
 		// Step 2: the rewriting operator injects cache-read / extract
 		// operators for exactly the qualifying records, minus the ones the
 		// zone maps prove irrelevant.
-		prune := x.Prune
-		if env.NoSkipping {
-			prune = nil
-		}
 		out, err := env.Source.Extract(meta, prune, obs)
 		if err != nil {
 			return nil, err

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/column"
 	"repro/internal/exec"
-	"repro/internal/mem"
 	"repro/internal/obs"
 )
 
@@ -21,19 +20,6 @@ import (
 // remain materializing — they need their whole input by nature. The
 // materializing engine stays behind Env.NoPipeline as the bit-identity
 // oracle.
-
-// StreamSource is optionally implemented by an ExtractSource that can
-// deliver the universal table as a morsel stream instead of one batch,
-// overlapping read+decode of run N+1 with compute over run N. Prefetch
-// buffers are charged to led (nil = unlimited), so overlap degrades to
-// synchronous extraction under budget pressure rather than blowing it.
-// prune carries the same zone-map admissibility test as Extract (nil =
-// stream everything). Returning a nil BatchSource (with nil error) means
-// streaming is not available for this request and the caller should fall
-// back to Extract.
-type StreamSource interface {
-	ExtractStream(meta *column.Batch, prune *PruneRange, obs Observer, morselRows int, led *mem.Ledger) (exec.BatchSource, error)
-}
 
 // RowsServedCounter reports how many rows a source has delivered; a
 // streaming source implements it so the extract event and stats stay
@@ -229,44 +215,15 @@ func executePipelined(pp *pipePlan, env *Env) (*column.Batch, error) {
 		}
 
 	case *LazyExtract:
-		msp := env.Trace.StartChild("metadata")
-		menv := *env
-		menv.Trace = msp
-		meta, err := Execute(leaf.Meta, &menv)
+		meta, prune, err := lazyMeta(leaf, env)
 		if err != nil {
 			return nil, err
 		}
-		msp.AddRows(int64(meta.NumRows()))
-		msp.End()
-		o.Event("rewrite", fmt.Sprintf("metadata plan yields %d qualifying records; invoking run-time plan rewriting operator", meta.NumRows()))
-		if env.Source == nil {
-			return nil, fmt.Errorf("plan: LazyExtract requires an ExtractSource in the environment")
+		if src, err = env.Source.ExtractStream(meta, prune, o, env.Pool.MorselRows(), env.Mem.Ledger()); err != nil {
+			return nil, err
 		}
-		prune := leaf.Prune
-		if env.NoSkipping {
-			prune = nil
-		}
-		if ss, ok := env.Source.(StreamSource); ok {
-			s, err := ss.ExtractStream(meta, prune, o, env.Pool.MorselRows(), env.Mem.Ledger())
-			if err != nil {
-				return nil, err
-			}
-			src = s
-		}
-		if src != nil {
-			if proto, err = extractProto(meta); err != nil {
-				return nil, err
-			}
-		} else {
-			// Source cannot stream: extract in one batch, pipeline the
-			// compute above it.
-			out, err := env.Source.Extract(meta, prune, o)
-			if err != nil {
-				return nil, err
-			}
-			o.Event("extract", fmt.Sprintf("lazy extraction produced %d universal-table rows", out.NumRows()))
-			src = exec.NewBatchMorsels(out, env.Pool.MorselRows())
-			proto = out.Range(0, 0)
+		if proto, err = extractProto(meta); err != nil {
+			return nil, err
 		}
 	}
 

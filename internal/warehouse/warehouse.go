@@ -386,8 +386,8 @@ func (w *Warehouse) Store() *catalog.Store { return w.store }
 func (w *Warehouse) Engine() *etl.Engine { return w.engine }
 
 // observer wires plan execution events into the query trace and the log.
-// It is safe for concurrent use: lazy extraction may report from a worker
-// pool when etl.Options.Parallelism > 1.
+// It is safe for concurrent use: lazy extraction reports from its prefetch
+// workers as well as from the goroutine consuming the extraction.
 type observer struct {
 	mu      sync.Mutex
 	w       *Warehouse
